@@ -127,16 +127,10 @@ def cmd_reason(args) -> int:
             graceful=True,
         )
     engine = None
-    if (
-        tracer is not None
-        or governor is not None
-        or args.workers
-        or args.no_columnar
-    ):
+    if tracer is not None or governor is not None or args.no_columnar:
         engine = Engine(
             tracer=tracer,
             governor=governor,
-            workers=args.workers,
             columnar=not args.no_columnar,
         )
     checkpoint = None
@@ -643,12 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="resume from the checkpoint's last completed phase "
              "(requires --checkpoint)",
-    )
-    p.add_argument(
-        "--workers", default=None, type=int, metavar="N",
-        help="partition-parallel chase with N workers (results are "
-             "bit-identical to serial; strata with existential heads "
-             "run serially)",
     )
     p.add_argument(
         "--no-columnar", action="store_true",

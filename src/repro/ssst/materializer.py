@@ -184,13 +184,12 @@ class IntensionalMaterializer:
         self,
         engine: Optional[Engine] = None,
         tracer: Optional[Tracer] = None,
-        workers: Optional[int] = None,
     ):
-        # A caller-supplied engine keeps its own tracer (and its own
-        # worker default); an implicit one joins the materializer's trace
-        # so engine spans nest under the phase spans.
+        # A caller-supplied engine keeps its own tracer; an implicit one
+        # joins the materializer's trace so engine spans nest under the
+        # phase spans.
         self.tracer = tracer or NullTracer()
-        self.engine = engine or Engine(tracer=tracer, workers=workers)
+        self.engine = engine or Engine(tracer=tracer)
         self._compile_cache: Dict[Tuple[str, int, Any], _CompiledViews] = {}
         self._retained: Optional[RetainedMaterialization] = None
 

@@ -36,7 +36,6 @@ from repro.vadalog.magic import (
     magic_rewrite,
     parse_query,
 )
-from repro.vadalog.parallel import ParallelChase, WorkerCrashError
 from repro.vadalog.parser import parse_program, parse_rule
 from repro.vadalog.stratify import Stratum, stratify
 from repro.vadalog.terms import (
@@ -77,8 +76,6 @@ __all__ = [
     "QueryAnswer",
     "magic_rewrite",
     "parse_query",
-    "ParallelChase",
-    "WorkerCrashError",
     "parse_program",
     "parse_rule",
     "Stratum",

@@ -181,35 +181,9 @@ class GroupAccumulator:
         elif value is not None:
             bucket[contributor] = self._resolve(value, current)
 
-    def merge(self, other: "GroupAccumulator") -> None:
-        """Fold another accumulator in (same function, partitioned input).
-
-        Used by the partition-parallel executor: workers accumulate the
-        contributions of their partition locally, and the coordinator
-        merges the partial accumulators.  The per-contributor collision
-        resolution is associative and commutative, so the merged result
-        is independent of the partitioning.
-        """
-        if CANONICAL.get(other.function) != CANONICAL.get(self.function):
-            raise EvaluationError(
-                f"cannot merge accumulators of {other.function!r} "
-                f"into {self.function!r}"
-            )
-        for group, contributions in other._groups.items():
-            for contributor, value in contributions.items():
-                self.contribute(group, contributor, value)
-
     def state(self) -> Dict[Tuple[Any, ...], Dict[Tuple[Any, ...], Any]]:
-        """The raw group -> contributor -> value state (picklable)."""
+        """The raw group -> contributor -> value state."""
         return self._groups
-
-    def load_state(
-        self, state: Dict[Tuple[Any, ...], Dict[Tuple[Any, ...], Any]]
-    ) -> None:
-        """Merge a raw :meth:`state` snapshot (from a worker) in."""
-        for group, contributions in state.items():
-            for contributor, value in contributions.items():
-                self.contribute(group, contributor, value)
 
     def results(self) -> Iterable[Tuple[Tuple[Any, ...], Any]]:
         """Yield (group key, aggregated value) pairs."""

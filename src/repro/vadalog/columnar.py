@@ -96,7 +96,7 @@ class ValueInterner:
     Shared by every relation of a database (and by its copies), so codes
     are comparable across relations and snapshots.  Append-only: codes
     are never reused or renumbered, which makes sharing safe without
-    locks — parallel workers only read, and the master interns on commit.
+    locks — interning a new value never changes an existing code.
     """
 
     __slots__ = ("values", "eq", "_codes", "_eqcodes", "_eq_np", "nan_codes")

@@ -211,14 +211,6 @@ class Engine:
         graceful mode a tripped budget ends the run early with a partial
         database and ``status == "budget_exceeded"``; in strict mode it
         raises :class:`~repro.errors.ResourceLimitError`.
-    workers:
-        Default worker count for :meth:`run`.  ``None`` or ``1`` keeps
-        the serial chase; ``N > 1`` routes parallel-safe strata through
-        :class:`~repro.vadalog.parallel.ParallelChase` (outputs stay
-        bit-identical to the serial engine).  Requires ``use_plans``.
-    parallel_backend:
-        Force the parallel backend (``"process"``, ``"thread"`` or
-        ``"serial"``); ``None`` auto-selects.
     """
 
     def __init__(
@@ -230,8 +222,6 @@ class Engine:
         use_plans: bool = True,
         tracer: Optional[Tracer] = None,
         governor: Optional[ResourceGovernor] = None,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
         columnar: bool = True,
     ):
         self.max_iterations = max_iterations
@@ -241,8 +231,6 @@ class Engine:
         self.use_plans = use_plans
         self.tracer = tracer
         self.governor = governor
-        self.workers = workers
-        self.parallel_backend = parallel_backend
         # Columnar (dictionary-encoded) fact storage with batch-at-a-time
         # plan execution; ``columnar=False`` keeps the original tuple-set
         # backend and tuple-at-a-time executor as a differential oracle.
@@ -263,7 +251,6 @@ class Engine:
         program: Program,
         database: Optional[Database] = None,
         inputs: Optional[Dict[str, Iterable[Sequence[Any]]]] = None,
-        workers: Optional[int] = None,
         retain_state: bool = False,
         track_support: bool = False,
         copy_database: bool = True,
@@ -276,19 +263,14 @@ class Engine:
         backend mismatch still converts (the conversion is itself a fresh
         database).
 
-        ``workers`` overrides the engine-level default for this run; any
-        value above 1 evaluates parallel-safe strata with partitioned
-        fan-out (see :mod:`repro.vadalog.parallel`).
-
         ``retain_state`` keeps the evaluation state — per-stratum fact
         partitions, the extensional snapshot, saturated aggregate
         accumulators, null/Skolem factories — on ``result.state`` so
         :meth:`apply_delta` can propagate later insertions and deletions
-        without re-running the chase.  Retention forces the serial chase
-        (parallel replicas do not share the retained accumulators).
-        ``track_support`` additionally records bounded support sets per
-        derived fact, letting the delete/re-derive pass walk recorded
-        supports instead of re-joining; it implies ``retain_state``.
+        without re-running the chase.  ``track_support`` additionally
+        records bounded support sets per derived fact, letting the
+        delete/re-derive pass walk recorded supports instead of
+        re-joining; it implies ``retain_state``.
         """
         start = time.perf_counter()
         tracer = self.tracer
@@ -348,17 +330,6 @@ class Engine:
             if track_support:
                 state.support = SupportIndex()
 
-        effective_workers = self.workers if workers is None else workers
-        if state is not None:
-            effective_workers = None
-        parallel = None
-        if effective_workers is not None and effective_workers > 1 and self.use_plans:
-            from repro.vadalog.parallel import ParallelChase
-
-            parallel = ParallelChase(
-                self, effective_workers, backend=self.parallel_backend
-            )
-
         if governor is not None:
             governor.begin()
         status = STATUS_FIXPOINT
@@ -368,7 +339,6 @@ class Engine:
                 "engine.run",
                 rules=len(program.rules),
                 strata=len(strata),
-                workers=effective_workers or 1,
             )
             if tracer is not None
             else None
@@ -378,10 +348,7 @@ class Engine:
                 self._retain_sink = state
                 self._support_sink = state.support
             for index, stratum in enumerate(strata):
-                if parallel is not None:
-                    parallel.evaluate_stratum(stratum, index, db, stats, nulls, skolems)
-                else:
-                    self._evaluate_stratum(stratum, index, db, stats, nulls, skolems)
+                self._evaluate_stratum(stratum, index, db, stats, nulls, skolems)
                 if state is not None:
                     state.per_stratum.append({
                         predicate: frozenset(db.relation(predicate))
@@ -427,8 +394,6 @@ class Engine:
         finally:
             self._retain_sink = None
             self._support_sink = None
-            if parallel is not None:
-                parallel.close()
             stats.elapsed_seconds = time.perf_counter() - start
             if root is not None:
                 root.set(
@@ -644,11 +609,13 @@ class Engine:
                         )
                     elif db.columnar:
                         # Full evaluation of a simple rule: try the
-                        # whole-plan vectorized join first.  Probe
-                        # recording and support tracking need per-match
-                        # substitutions, so they stay on the batch path.
+                        # whole-plan vectorized join first.  Support
+                        # tracking needs per-match substitutions, so it
+                        # stays on the substitution paths.  Tracing does
+                        # not change the executor: probe counts cover
+                        # only rules that fall through to the batch path.
                         vectorized = None
-                        if probe is None and recorder is None:
+                        if recorder is None:
                             vectorized = vectorized_rule_matches(plans, db)
                         if vectorized is not None:
                             firings, head_facts = vectorized
@@ -659,11 +626,9 @@ class Engine:
                             # Complex heads (Skolems, existentials) need
                             # per-match work, but the join itself can
                             # still run vectorized.
-                            matches = None
-                            if probe is None:
-                                matches = vectorized_body_substitutions(
-                                    plans.body_plan(), db
-                                )
+                            matches = vectorized_body_substitutions(
+                                plans.body_plan(), db
+                            )
                             if matches is None:
                                 matches = execute_plan_batch(
                                     plans.body_plan(), db, probe=probe

@@ -31,9 +31,8 @@ change:
   aggregates, existential heads whose writers fail the safety gate —
   **recompute from their stratum boundary**: the stratum's derived
   predicates reset to the post-update extensional baseline and the
-  engine's own ``_evaluate_stratum`` re-runs, mirroring the
-  serial-barrier precedent in :mod:`repro.vadalog.parallel`.  The
-  before/after diff then feeds downstream strata as an ordinary delta.
+  engine's own ``_evaluate_stratum`` re-runs.  The before/after diff
+  then feeds downstream strata as an ordinary delta.
 
 Labeled nulls minted during maintenance continue the retained
 :class:`NullFactory` counter, so incremental ordinals differ from a
@@ -990,9 +989,8 @@ def _recompute_stratum(
 
     Every predicate this stratum's rules write resets to the
     post-update extensional baseline, then the engine's own stratum
-    evaluator re-runs against the already-updated upstream state — the
-    same semantics boundary the parallel executor's serial barrier
-    draws.  The before/after diff becomes the downstream delta.
+    evaluator re-runs against the already-updated upstream state.  The
+    before/after diff becomes the downstream delta.
     """
     stratum_heads = _head_predicates(stratum.rules)
     before = {

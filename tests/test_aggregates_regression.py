@@ -15,6 +15,8 @@ fix it names; together they pin the corrected semantics:
   graph's mutation epoch instead of silently removing wrong elements.
 """
 
+import itertools
+
 import pytest
 
 from repro.errors import (
@@ -101,22 +103,18 @@ class TestMixedTypeContributions:
         assert len(result.facts("out")) == 1
 
     def test_merge_is_partition_order_independent(self):
-        # The parallel executor merges partial accumulators; associativity
-        # plus commutativity of the resolution makes the partitioning
-        # invisible.
+        # Contributor collisions resolve associatively and commutatively,
+        # so the order in which the chase contributes is invisible.
         contributions = [(("a",), 5), (("b",), 2), (("a",), 3), (("c",), 9)]
-        whole = GroupAccumulator("min")
-        for contributor, value in contributions:
-            whole.contribute(("g",), contributor, value)
-        left, right = GroupAccumulator("min"), GroupAccumulator("min")
-        for i, (contributor, value) in enumerate(contributions):
-            (left if i % 2 else right).contribute(("g",), contributor, value)
-        left.merge(right)
-        assert dict(whole.results()) == dict(left.results())
-
-        restored = GroupAccumulator("min")
-        restored.load_state(whole.state())
-        assert dict(restored.results()) == dict(whole.results())
+        for function in ("min", "max", "sum"):
+            outcomes = []
+            for order in itertools.permutations(contributions):
+                acc = GroupAccumulator(function)
+                for contributor, value in order:
+                    acc.contribute(("g",), contributor, value)
+                outcomes.append(dict(acc.results()))
+            assert all(outcome == outcomes[0] for outcome in outcomes), function
+        assert outcomes[0] == {("g",): 16}  # a keeps 5, plus b=2 and c=9
 
 
 class TestProductMonotonicity:

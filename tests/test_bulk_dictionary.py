@@ -15,6 +15,7 @@ import pytest
 from repro.core import GraphDictionary, SuperSchema
 from repro.core.instances import SuperInstance
 from repro.core.oid import construct_oid
+from repro.finkg.generator import ShareholdingConfig, generate_shareholding_data
 from repro.graph.property_graph import ABSENT, GraphError, PropertyGraph
 from repro.metalog import (
     GraphCatalog,
@@ -199,6 +200,81 @@ class TestBulkMaterialize:
         text = "(x: P; src: s) -> (x: P; src: s)."
         target, _ = self._run(graph, text, bulk=True)
         assert target.node(1).get("keepme") == "yes"
+
+
+def business_registry(companies, seed=42):
+    """The flat ``Business``/``PhysicalPerson`` shareholding registry of
+    ``benchmarks/bench_incremental.py``, rebuilt here so the test does
+    not import a benchmark script."""
+    data = generate_shareholding_data(
+        ShareholdingConfig(companies=companies, seed=seed)
+    )
+    graph = PropertyGraph("registry")
+    for pid in data.persons:
+        graph.add_node(pid, "PhysicalPerson", fiscalCode=f"FC-{pid}")
+    for cid in data.companies:
+        graph.add_node(
+            cid, "Business", fiscalCode=f"FC-{cid}", businessName=f"{cid} SpA"
+        )
+    for index, stake in enumerate(data.stakes):
+        graph.add_edge(
+            stake.owner, stake.company, "OWNS",
+            edge_id=f"stake-{index}", percentage=stake.percentage,
+        )
+    return graph
+
+
+def ordered_snapshot(graph):
+    """Nodes and edges in iteration order (order-sensitive, unlike
+    :func:`node_snapshot`)."""
+    return (
+        [(n.id, n.label, sorted(n.properties.items(), key=repr))
+         for n in graph.nodes()],
+        [(e.id, e.source, e.target, e.label,
+          sorted(e.properties.items(), key=repr))
+         for e in graph.edges()],
+    )
+
+
+class TestGraphBoundaryDifferential:
+    """Bulk vs per-object graph boundary on a 400-company registry under
+    the ``msum`` control program: extraction must be bit-identical in
+    content *and order*, and the write-back must produce the same graph
+    in the same iteration order."""
+
+    CONTROL = (
+        "(x: Business)[:OWNS; percentage: w](y: Business),"
+        " v = msum(w, <x>), v > 0.5"
+        " -> exists c : (x)[c: CONTROLS](y)."
+    )
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_bulk_matches_per_object_end_to_end(self, columnar):
+        graph = business_registry(400)
+        catalog = GraphCatalog.from_graph(graph)
+        compiled = compile_metalog(parse_metalog(self.CONTROL), catalog)
+        fast = graph_to_database(
+            graph, compiled.catalog, columnar=columnar, bulk=True
+        )
+        slow = graph_to_database(
+            graph, compiled.catalog, columnar=columnar, bulk=False
+        )
+        assert fast.predicates() == slow.predicates()
+        for predicate in fast.predicates():
+            assert list(fast.relation(predicate)) == list(
+                slow.relation(predicate)
+            ), predicate
+
+        result = Engine().run(compiled.program, database=fast)
+        targets = []
+        for bulk in (True, False):
+            target = graph.copy()
+            materialize_into_graph(result, compiled, target, bulk=bulk)
+            targets.append(target)
+        fast_graph, slow_graph = targets
+        assert ordered_snapshot(fast_graph) == ordered_snapshot(slow_graph)
+        # Non-vacuous: the write-back added CONTROLS edges.
+        assert fast_graph.edge_count > graph.edge_count
 
 
 class TestBulkSchemaDictionary:

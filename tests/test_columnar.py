@@ -1,7 +1,7 @@
 """Columnar fact storage: interner/relation units, the storage-level
 randomized differential, the 52-program columnar-vs-tuple battery (plus
-incremental chained-delta and workers=2 parallel batteries), spill-to-disk,
-and the semantic-equality regression for ``Relation.lookup``."""
+the incremental chained-delta battery), spill-to-disk, and the
+semantic-equality regression for ``Relation.lookup``."""
 
 import random
 
@@ -395,44 +395,6 @@ class TestColumnarIncrementalBattery:
         rng = random.Random(7000 + seed)
         text, predicates, inputs = _existential_case(rng)
         columnar_delta_differential(text, predicates, inputs, rng, KINDS[seed % 3])
-
-
-# ---------------------------------------------------------------------------
-# Parallel battery in columnar mode
-# ---------------------------------------------------------------------------
-
-
-class TestColumnarParallelBattery:
-    @pytest.mark.parametrize("seed", [0, 3, 7, 11])
-    def test_recursion_workers2(self, seed, monkeypatch):
-        import repro.vadalog.parallel as parallel
-
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARTITION", 1)
-        text, predicates, inputs = _recursion_case(random.Random(1000 + seed))
-        program = parse_program(text)
-        par = Engine(workers=2, columnar=True).run(program, inputs=inputs)
-        ser = Engine(columnar=True).run(program, inputs=inputs)
-        oracle = Engine(columnar=False).run(program, inputs=inputs)
-        for predicate in predicates:
-            canon_par = _canon(par.facts(predicate))
-            assert canon_par == _canon(ser.facts(predicate)), predicate
-            assert canon_par == _canon(oracle.facts(predicate)), predicate
-        assert par.stats.rule_firings == oracle.stats.rule_firings
-        assert par.stats.facts_derived == oracle.stats.facts_derived
-
-    @pytest.mark.parametrize("seed", [2, 9])
-    def test_aggregates_workers2(self, seed, monkeypatch):
-        import repro.vadalog.parallel as parallel
-
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARTITION", 1)
-        text, predicates, inputs = _aggregate_case(random.Random(2000 + seed))
-        program = parse_program(text)
-        par = Engine(workers=2, columnar=True).run(program, inputs=inputs)
-        oracle = Engine(columnar=False).run(program, inputs=inputs)
-        for predicate in predicates:
-            assert _canon(par.facts(predicate)) == _canon(
-                oracle.facts(predicate)
-            ), predicate
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,41 @@ class TestEngineWiring:
         assert without.status == STATUS_FIXPOINT
         assert not without.truncated
 
+    def test_tracing_keeps_the_vectorized_executor(self, monkeypatch):
+        import repro.vadalog.engine as engine_module
+
+        calls = {"rule": 0, "body": 0}
+        rule_matches = engine_module.vectorized_rule_matches
+        body_substitutions = engine_module.vectorized_body_substitutions
+
+        def spy_rule(*args, **kwargs):
+            calls["rule"] += 1
+            return rule_matches(*args, **kwargs)
+
+        def spy_body(*args, **kwargs):
+            calls["body"] += 1
+            return body_substitutions(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "vectorized_rule_matches", spy_rule)
+        monkeypatch.setattr(
+            engine_module, "vectorized_body_substitutions", spy_body
+        )
+        program = parse_program(
+            _TC_PROGRAM + "\ne(X, Y) -> owner(X, N)."
+        )
+        outcomes = []
+        for tracer in (None, RecordingTracer()):
+            calls.update(rule=0, body=0)
+            result = Engine(tracer=tracer).run(program, inputs=_CHAIN)
+            outcomes.append((
+                dict(calls),
+                sorted(result.facts("tc")),
+                len(result.facts("owner")),
+            ))
+        untraced, traced = outcomes
+        assert untraced[0]["rule"] > 0 and untraced[0]["body"] > 0
+        assert traced == untraced
+
     def test_graceful_fact_budget_yields_partial_results(self):
         governor = ResourceGovernor(max_facts=50)
         result = Engine(governor=governor).run(
